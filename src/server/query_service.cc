@@ -127,13 +127,8 @@ void QueryService::WorkerLoop() {
 }
 
 void QueryService::SwapForward(std::shared_ptr<GraphRepresentation> forward) {
-  {
-    std::lock_guard<std::mutex> lock(forward_mu_);
-    forward_override_ = forward;
-  }
-  // Outside the lock: the hook may do arbitrary work (start a warmer walk
-  // over the new generation) and must not stall request admission.
-  if (options_.on_swap) options_.on_swap(forward);
+  std::lock_guard<std::mutex> lock(forward_mu_);
+  forward_override_ = std::move(forward);
 }
 
 std::shared_ptr<GraphRepresentation> QueryService::CurrentForward() const {

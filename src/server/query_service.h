@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -34,13 +33,6 @@ namespace wg::server {
 struct QueryServiceOptions {
   size_t num_workers = 4;
   size_t queue_capacity = 256;
-  // Invoked (outside the swap lock) after SwapForward installs a new
-  // forward representation, with the representation just installed --
-  // nullptr when reverting to the constructor-supplied one. This is the
-  // hook the serving binary uses to kick a background cache warmer at
-  // every generation flip, so the first requests against the new
-  // generation don't eat the whole cold-read cliff.
-  std::function<void(const std::shared_ptr<GraphRepresentation>&)> on_swap;
 };
 
 class QueryService {

@@ -481,7 +481,7 @@ Result<Partition> RefinePartitionFrom(const RefinementGraph& source,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   if (stats != nullptr) *stats = local_stats;
-  return std::move(result);
+  return result;
 }
 
 std::vector<std::vector<PageId>> RefineNewElement(

@@ -8,7 +8,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "snode/prefetch.h"
 #include "snode/section_encode.h"
 #include "storage/integrity.h"
 #include "storage/serial.h"
@@ -29,54 +28,16 @@ inline double SecondsSince(std::chrono::steady_clock::time_point t0) {
 // anything inside a window.
 constexpr uint32_t kEncodeWindow = 4096;
 
-// Bound on sections queued to the decode-ahead executor at once; beyond
-// this the reader is so far ahead of the worker that more queue would
-// only decode sections destined for eviction before use.
-constexpr size_t kDecodeAheadQueueCapacity = 64;
-
 }  // namespace
 
 void SNodeColdStats::Register(obs::MetricRegistry& registry,
                               const obs::Labels& labels) {
-  auto with_source = [&labels](const char* source) {
-    obs::Labels out = labels;
-    out.emplace_back("source", source);
-    return out;
-  };
-  demand_blobs.Bind(registry, "wg_cold_blobs_total", with_source("demand"),
-                    "Cold blob loads (a query was waiting)");
-  demand_bytes.Bind(registry, "wg_cold_bytes_total", with_source("demand"),
-                    "Encoded bytes of cold demand loads");
-  decode_ahead_blobs.Bind(registry, "wg_cold_blobs_total",
-                          with_source("decode_ahead"),
-                          "Blobs decoded ahead by the locality executor");
-  decode_ahead_bytes.Bind(registry, "wg_cold_bytes_total",
-                          with_source("decode_ahead"),
-                          "Encoded bytes decoded ahead");
-  warmer_blobs.Bind(registry, "wg_cold_blobs_total", with_source("warmer"),
-                    "Blobs decoded by the background warmer");
-  warmer_bytes.Bind(registry, "wg_cold_bytes_total", with_source("warmer"),
-                    "Encoded bytes read by the background warmer");
+  blobs.Bind(registry, "wg_cold_blobs_total", labels,
+             "Cold blob loads (a query was waiting)");
+  bytes.Bind(registry, "wg_cold_bytes_total", labels,
+             "Encoded bytes of cold blob loads");
   assembles.Bind(registry, "wg_cold_assembles_total", labels,
                  "Supernode CSR assemblies (cold cursor work)");
-}
-
-void SNodeColdStats::Bump(SNodeLoadSource source, uint64_t blobs,
-                          uint64_t bytes) {
-  switch (source) {
-    case SNodeLoadSource::kDemand:
-      demand_blobs += blobs;
-      demand_bytes += bytes;
-      break;
-    case SNodeLoadSource::kDecodeAhead:
-      decode_ahead_blobs += blobs;
-      decode_ahead_bytes += bytes;
-      break;
-    case SNodeLoadSource::kWarmer:
-      warmer_blobs += blobs;
-      warmer_bytes += bytes;
-      break;
-  }
 }
 
 Result<std::unique_ptr<SNodeRepr>> SNodeRepr::Build(
@@ -424,11 +385,6 @@ Result<std::unique_ptr<SNodeRepr>> SNodeRepr::FromParts(
   return repr;
 }
 
-SNodeRepr::~SNodeRepr() {
-  // Stop the background worker before any member it reads is destroyed.
-  if (decode_ahead_ != nullptr) decode_ahead_->Stop();
-}
-
 void SNodeRepr::StartRuntime() {
   size_t words = (supernodes_.num_supernodes() + 63) / 64;
   section_quarantined_.reset(new std::atomic<uint64_t>[words]());
@@ -436,29 +392,6 @@ void SNodeRepr::StartRuntime() {
       obs::MetricRegistry::Default(),
       {{"scheme", "s-node"},
        {"instance", std::to_string(obs::NextInstanceId())}});
-  if (options_.decode_ahead_sections > 0) {
-    decode_ahead_ = std::make_unique<PrefetchExecutor>(
-        [this](uint32_t s) {
-          if (s >= supernodes_.num_supernodes()) return;
-          // Already assembled => the section's graphs were all decoded.
-          if (cache_->Lookup(AssembledKey(s)) != nullptr) return;
-          // Best-effort: a failed decode-ahead just leaves the section
-          // for the demand path (which will surface the error).
-          Status ignored = PrefetchSection(s, SNodeLoadSource::kDecodeAhead);
-          (void)ignored;
-        },
-        kDecodeAheadQueueCapacity);
-  }
-}
-
-void SNodeRepr::MaybeDecodeAhead(uint32_t supernode) {
-  if (decode_ahead_ == nullptr) return;
-  uint32_t n_super = static_cast<uint32_t>(supernodes_.num_supernodes());
-  for (int k = 1; k <= options_.decode_ahead_sections; ++k) {
-    uint32_t s = supernode + static_cast<uint32_t>(k);
-    if (s >= n_super) break;
-    decode_ahead_->Submit(s);
-  }
 }
 
 Status SNodeRepr::MapStoreForRead() { return store_->MapForRead(); }
@@ -466,22 +399,6 @@ Status SNodeRepr::MapStoreForRead() { return store_->MapForRead(); }
 void SNodeRepr::DropToColdState() {
   cache_->Clear();
   store_->EvictFromPageCache();
-}
-
-Status SNodeRepr::WarmSection(uint32_t supernode, SNodeLoadSource source) {
-  if (supernode >= supernodes_.num_supernodes()) {
-    return Status::OutOfRange("supernode out of range");
-  }
-  return PrefetchSection(supernode, source);
-}
-
-uint64_t SNodeRepr::SectionBytes(uint32_t supernode) const {
-  uint32_t first = supernodes_.intranode_blob[supernode];
-  uint32_t last = first + (supernodes_.offsets[supernode + 1] -
-                           supernodes_.offsets[supernode]);
-  uint64_t total = 0;
-  for (uint32_t b = first; b <= last; ++b) total += store_->blob_size(b);
-  return total;
 }
 
 bool SNodeRepr::SectionQuarantined(uint32_t supernode) const {
@@ -596,7 +513,7 @@ Result<SNodeRepr::EntryPtr> SNodeRepr::LoadBlob(uint32_t blob_id,
     if (read.ok()) {
       stats_.bytes_read += span.length;
       ++stats_.graphs_loaded;
-      cold_stats_.Bump(SNodeLoadSource::kDemand, 1, span.length);
+      cold_stats_.Bump(1, span.length);
       ShardedGraphCache::Entry entry;
       Status decoded = DecodeSectionBlob(blob_id, supernode, first_blob,
                                          span.data, span.length, &entry);
@@ -632,7 +549,7 @@ Result<SNodeRepr::EntryPtr> SNodeRepr::LoadBlob(uint32_t blob_id,
   }
   stats_.bytes_read += raw.size();
   ++stats_.graphs_loaded;
-  cold_stats_.Bump(SNodeLoadSource::kDemand, 1, raw.size());
+  cold_stats_.Bump(1, raw.size());
   ShardedGraphCache::Entry entry;
   Status decoded;
   {
@@ -669,7 +586,7 @@ bool SNodeRepr::SectionWorthPrefetching(uint32_t supernode,
   return graphs_needed * 4 >= section_graphs;
 }
 
-Status SNodeRepr::PrefetchSection(uint32_t supernode, SNodeLoadSource source) {
+Status SNodeRepr::PrefetchSection(uint32_t supernode) {
   WG_RETURN_IF_ERROR(SectionServable(supernode));
   uint32_t first = supernodes_.intranode_blob[supernode];
   uint32_t last = first + (supernodes_.offsets[supernode + 1] -
@@ -721,7 +638,7 @@ Status SNodeRepr::PrefetchSection(uint32_t supernode, SNodeLoadSource source) {
         for (size_t j = i; j < claimed.size(); ++j) {
           cache_->Abort(claimed[j], read);
         }
-        cold_stats_.Bump(source, i, loaded_bytes);
+        cold_stats_.Bump(i, loaded_bytes);
         return read;
       }
       stats_.bytes_read += length;
@@ -729,7 +646,7 @@ Status SNodeRepr::PrefetchSection(uint32_t supernode, SNodeLoadSource source) {
       ++stats_.graphs_loaded;
       cache_->Publish(id, std::move(entry));
     }
-    cold_stats_.Bump(source, claimed.size(), loaded_bytes);
+    cold_stats_.Bump(claimed.size(), loaded_bytes);
     return Status::OK();
   }
 
@@ -766,7 +683,7 @@ Status SNodeRepr::PrefetchSection(uint32_t supernode, SNodeLoadSource source) {
     }
     cache_->Publish(id, std::move(entry));
   }
-  cold_stats_.Bump(source, claimed.size(), loaded_bytes);
+  cold_stats_.Bump(claimed.size(), loaded_bytes);
   return Status::OK();
 }
 
@@ -855,7 +772,7 @@ Result<SNodeRepr::EntryPtr> SNodeRepr::AssembleSupernode(uint32_t supernode) {
   const uint32_t e_end = supernodes_.offsets[supernode + 1];
 
   // Gather the section's decoded graphs. Blobs already decoded (by
-  // decode-ahead, the warmer, or a lone probe) are pinned out of the cache;
+  // a lone probe or an earlier section prefetch) are pinned out of the cache;
   // the rest are read with one sequential section read and decoded into
   // locals that die with this call. Skipping the per-blob singleflight
   // machinery here matters: the assembled block is the only artifact worth
@@ -944,7 +861,7 @@ Result<SNodeRepr::EntryPtr> SNodeRepr::AssembleSupernode(uint32_t supernode) {
       }
       stats_.bytes_read += bytes;
       stats_.graphs_loaded += missing.size();
-      cold_stats_.Bump(SNodeLoadSource::kDemand, missing.size(), bytes);
+      cold_stats_.Bump(missing.size(), bytes);
     } else {
       std::vector<std::vector<uint8_t>> blobs;
       {
@@ -966,7 +883,7 @@ Result<SNodeRepr::EntryPtr> SNodeRepr::AssembleSupernode(uint32_t supernode) {
       }
       stats_.bytes_read += bytes;
       stats_.graphs_loaded += missing.size();
-      cold_stats_.Bump(SNodeLoadSource::kDemand, missing.size(), bytes);
+      cold_stats_.Bump(missing.size(), bytes);
     }
   }
   const IntranodeGraph& ig = *ig_ptr;
@@ -1111,10 +1028,8 @@ class SNodeRepr::Cursor : public AdjacencyCursor {
         // Streaming: either a second page in this supernode, or the
         // stream just crossed into the next section at its first page (a
         // layout-order sweep). Assembling now pays for itself across the
-        // rest of the streak -- and crossing a section boundary is the
-        // decode-ahead signal, so queue the sections after this one.
+        // rest of the streak.
         WG_ASSIGN_OR_RETURN(entry, repr_->AssembleSupernode(s));
-        repr_->MaybeDecodeAhead(s);
       }
       if (entry != nullptr) {
         assembled_entry_ = entry;

@@ -56,13 +56,6 @@ struct SNodeBuildOptions {
   // only when their graphs hash to the same shard).
   size_t cache_shards = 8;
   bool record_load_log = false;
-  // Locality decode-ahead: when a cursor takes a cold miss into a
-  // supernode section, a background executor decodes the next N sections
-  // in layout order (= LocalityKey order, the order a sweep will want
-  // them) into the cache. 0 disables. Requires nothing of the store mode;
-  // with options.store.mmap it also opens madvise readahead windows ahead
-  // of the faulting reader.
-  int decode_ahead_sections = 0;
 };
 
 // The resident half of an S-Node representation, separated from the repr
@@ -81,8 +74,6 @@ struct SNodeResidentState {
   static Result<SNodeResidentState> Parse(SerialCursor* cursor);
 };
 
-class PrefetchExecutor;
-
 // Data plane of the numbering/encode/layout half of the build: the counts
 // plus two accessors, which is all that half ever asks of a WebGraph. The
 // classic build binds a resident graph; the streaming build serves these
@@ -99,20 +90,16 @@ struct SNodeBuildSource {
   std::function<std::string(PageId)> domain_name_of;
 };
 
-// Who initiated a cold blob load -- demand read (a query is waiting),
-// decode-ahead (the locality executor running ahead of a cursor), or the
-// background warmer. Exposition splits the wg_cold_* series by this so a
-// dashboard can tell a cold-read cliff from deliberate warming I/O.
-enum class SNodeLoadSource { kDemand = 0, kDecodeAhead = 1, kWarmer = 2 };
-
-// Cold-path counters (registry series wg_cold_*), split by load source.
+// Cold-path counters (registry series wg_cold_*). Every cold blob load is
+// a demand read: a query is waiting on it.
 struct SNodeColdStats {
-  obs::Counter demand_blobs, demand_bytes;
-  obs::Counter decode_ahead_blobs, decode_ahead_bytes;
-  obs::Counter warmer_blobs, warmer_bytes;
-  obs::Counter assembles;  // supernode CSR assemblies (cold cursor work)
+  obs::Counter blobs, bytes;  // blobs read from the store, encoded bytes
+  obs::Counter assembles;     // supernode CSR assemblies (cold cursor work)
   void Register(obs::MetricRegistry& registry, const obs::Labels& labels);
-  void Bump(SNodeLoadSource source, uint64_t blobs, uint64_t bytes);
+  void Bump(uint64_t blob_count, uint64_t byte_count) {
+    blobs += blob_count;
+    bytes += byte_count;
+  }
 };
 
 class SNodeRepr : public GraphRepresentation {
@@ -200,8 +187,6 @@ class SNodeRepr : public GraphRepresentation {
   uint64_t encoded_bits() const override;
   size_t resident_memory() const override;
 
-  ~SNodeRepr() override;
-
   const SupernodeGraph& supernode_graph() const { return supernodes_; }
   const GraphStore& store() const { return *store_; }
 
@@ -214,16 +199,6 @@ class SNodeRepr : public GraphRepresentation {
   // clear: the true cold state a first query after process start sees.
   // Used by cold-read benchmarks.
   void DropToColdState();
-
-  // Decodes supernode `s`'s whole section (intranode + outgoing superedge
-  // graphs) into the cache, attributed to `source` in the wg_cold_*
-  // series. This is the warmer's and the decode-ahead executor's entry
-  // point; safe to call concurrently with readers.
-  Status WarmSection(uint32_t supernode, SNodeLoadSource source);
-
-  // Encoded bytes of supernode `s`'s section on disk (the warmer's rate
-  // limiter charges this before sleeping).
-  uint64_t SectionBytes(uint32_t supernode) const;
 
   const SNodeColdStats& cold_stats() const { return cold_stats_; }
 
@@ -299,15 +274,10 @@ class SNodeRepr : public GraphRepresentation {
   // needs most of a section pays one seek for it. Under concurrency, only
   // blobs this thread claimed are decoded here; blobs already in flight
   // elsewhere are left to their owners.
-  Status PrefetchSection(uint32_t supernode,
-                         SNodeLoadSource source = SNodeLoadSource::kDemand);
+  Status PrefetchSection(uint32_t supernode);
 
-  // Hands sections supernode+1 .. supernode+decode_ahead_sections to the
-  // background executor (no-op when decode-ahead is off).
-  void MaybeDecodeAhead(uint32_t supernode);
-
-  // Registers the cold-path counters and (if configured) spawns the
-  // decode-ahead executor; the tail of Build/FromParts.
+  // Registers the cold-path counters and allocates the quarantine bitmap;
+  // the tail of Build/FromParts.
   void StartRuntime();
 
   // True if enough of the section is wanted that a single sequential
@@ -345,13 +315,8 @@ class SNodeRepr : public GraphRepresentation {
   // mutexes, so the cache is not reassignable in place).
   std::unique_ptr<ShardedGraphCache> cache_;
 
-  // Cold-path attribution counters (wg_cold_* series).
+  // Cold-path counters (wg_cold_* series).
   SNodeColdStats cold_stats_;
-
-  // Background decode-ahead executor (null when
-  // options_.decode_ahead_sections == 0). Declared after the state its
-  // worker reads; the destructor stops it before members die.
-  std::unique_ptr<PrefetchExecutor> decode_ahead_;
 
   // Serializes physical store reads and the monotone disk-model tracker
   // (the paper's testbed has one disk; concurrent readers queue on it).

@@ -22,6 +22,10 @@ std::string BlobErrorDetail(const char* what, uint32_t id, uint32_t file_index,
   return buf;
 }
 
+// Bytes of the madvise(MADV_WILLNEED) window a cold mapped read opens at
+// its blob.
+constexpr uint64_t kReadaheadBytes = 256 * 1024;
+
 }  // namespace
 
 Result<std::unique_ptr<GraphStore>> GraphStore::Create(std::string base_path,
@@ -232,22 +236,20 @@ Status GraphStore::ReadBlobSpan(uint32_t id, BlobSpan* span) const {
   mapped_reads_.fetch_add(1, std::memory_order_relaxed);
   mapped_bytes_.fetch_add(ref.length, std::memory_order_relaxed);
   // Readahead window: the first read past the previous window's edge asks
-  // the kernel for the next options_.readahead_bytes in one go -- the
-  // layout places this blob's section right here, so the faults the
-  // decode is about to take are batched instead of page-by-page.
-  if (options_.readahead_bytes > 0 && ref.length > 0) {
-    // The current window covers [edge - readahead_bytes, edge); a read
+  // the kernel for the next kReadaheadBytes in one go -- the layout
+  // places this blob's section right here, so the faults the decode is
+  // about to take are batched instead of page-by-page.
+  if (ref.length > 0) {
+    // The current window covers [edge - kReadaheadBytes, edge); a read
     // ending outside it (past the edge, or a jump back to an earlier
     // region) opens a fresh window at the read's start.
     std::atomic<uint64_t>& edge = *readahead_edge_[ref.file_index];
     uint64_t end = ref.offset + ref.length;
     uint64_t seen = edge.load(std::memory_order_relaxed);
-    uint64_t window_start =
-        seen > options_.readahead_bytes ? seen - options_.readahead_bytes : 0;
+    uint64_t window_start = seen > kReadaheadBytes ? seen - kReadaheadBytes : 0;
     if (seen == 0 || end > seen || end < window_start) {
-      edge.store(ref.offset + options_.readahead_bytes,
-                 std::memory_order_relaxed);
-      file.Advise(ref.offset, options_.readahead_bytes,
+      edge.store(ref.offset + kReadaheadBytes, std::memory_order_relaxed);
+      file.Advise(ref.offset, kReadaheadBytes,
                   RandomAccessFile::Advice::kWillNeed);
     }
   }

@@ -38,11 +38,6 @@ class GraphStore {
     // pread per blob. Ignored by Create (a store being appended cannot be
     // mapped); call MapForRead() once writing is done.
     bool mmap = false;
-    // When a mapped blob is read cold, open an madvise(MADV_WILLNEED)
-    // readahead window of this many bytes starting at the blob -- the
-    // paper's layout places a query's working set immediately after, so
-    // the kernel fetches it while we decode.
-    uint64_t readahead_bytes = 256 * 1024;
     // Verify each blob's CRC32 on read. pread reads verify every time;
     // mapped reads verify on the first touch of each blob and cache the
     // verdict in a per-blob bitmap, so the warm zero-copy path stays one
@@ -129,8 +124,10 @@ class GraphStore {
   Status MapForRead();
 
   // Points *span at blob `id` inside the mapping (zero-copy; no syscall).
-  // On the first touch of a readahead window this also issues
-  // madvise(MADV_WILLNEED) for options.readahead_bytes following bytes.
+  // When the read falls outside the file's current readahead window this
+  // also issues madvise(MADV_WILLNEED) for the 256 KiB starting at the
+  // blob -- the paper's layout places a query's working set immediately
+  // after, so the kernel fetches it while we decode.
   // With verify_checksums the first touch of each blob CRC-checks the
   // mapped bytes under a SIGBUS guard: a fault quarantines the file
   // (returns Unavailable -- retry via ReadBlob), a mismatch returns
@@ -155,8 +152,8 @@ class GraphStore {
   Status SyncAll() const;
 
   // madvise over the physical byte ranges of blobs [first, last] (the
-  // decode-ahead executor and the warmer use kWillNeed/kSequential ahead
-  // of decoding; kDontNeed drops residency). No-op when not mapped.
+  // S-Node section reads issue kWillNeed before decoding a section).
+  // No-op when not mapped.
   void AdviseBlobs(uint32_t first, uint32_t last,
                    RandomAccessFile::Advice advice) const;
 

@@ -86,10 +86,10 @@ class Pager {
 
   // Best-effort: loads up to `count` pages starting at `first` into
   // unpinned frames so subsequent Fetches hit. Loads are charged to
-  // stats().readahead, keeping speculative I/O (overflow-chain walks,
-  // warmers) distinguishable from demand misses in the exposition. Clipped
-  // to the file end and to half the pool so a burst cannot wipe the
-  // demand-paged working set; stops quietly once every frame is pinned.
+  // stats().readahead, keeping speculative I/O (overflow-chain walks)
+  // distinguishable from demand misses in the exposition. Clipped to the
+  // file end and to half the pool so a burst cannot wipe the demand-paged
+  // working set; stops quietly once every frame is pinned.
   Status Readahead(PageNum first, size_t count);
 
   // Writes back all dirty frames.

@@ -59,8 +59,8 @@ struct Manifest {
 
   // Opens the (read-only) store this manifest describes; `dir` is the
   // snapshot directory the file names are relative to. `options` controls
-  // the read path (mmap, readahead window); sizing fields are ignored for
-  // a read-only open.
+  // the read path (mmap, checksum verification); sizing fields are ignored
+  // for a read-only open.
   Result<std::unique_ptr<GraphStore>> OpenStore(const std::string& dir) const;
   Result<std::unique_ptr<GraphStore>> OpenStore(
       const std::string& dir, const GraphStore::Options& options) const;

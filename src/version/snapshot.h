@@ -61,8 +61,9 @@ inline std::shared_ptr<GraphRepresentation> ReprOf(const GenerationPtr& gen) {
 
 struct SnapshotOptions {
   SNodeBuildOptions build;
-  // Read-path options for every generation's store open (mmap, readahead
-  // window). Sizing fields are ignored: generations are opened read-only.
+  // Read-path options for every generation's store open (mmap, checksum
+  // verification). Sizing fields are ignored: generations are opened
+  // read-only.
   GraphStore::Options store;
   // Scrub (pread + CRC) every blob of a generation before installing it.
   // A corrupt generation then fails Open()/Refresh()/Compact() with

@@ -121,14 +121,11 @@ TEST(CursorEquivalenceTest, SNodeMatchesGetLinks) {
 }
 
 // The mmap read path must be byte-identical to pread: the S-Node served
-// from a mapped store (decode-ahead on, so background decodes race the
-// sweep) has to agree with GetLinks warm, scattered, and cold again --
-// and edge-for-edge with every other scheme over the same crawl.
+// from a mapped store has to agree with GetLinks warm, scattered, and cold
+// again -- and edge-for-edge with every other scheme over the same crawl.
 TEST(CursorEquivalenceTest, SNodeMmapMatchesGetLinksAndAllSchemes) {
   WebGraph g = TestGraph();
-  SNodeBuildOptions bopts;
-  bopts.decode_ahead_sections = 2;
-  auto built = SNodeRepr::Build(g, TempPath("snmm"), bopts);
+  auto built = SNodeRepr::Build(g, TempPath("snmm"), {});
   ASSERT_TRUE(built.ok());
   SNodeRepr* snode = built.value().get();
   ASSERT_TRUE(snode->MapStoreForRead().ok());
@@ -172,7 +169,6 @@ TEST(CursorEquivalenceTest, SNodeMmapReopenMatchesGetLinks) {
   }
   SNodeBuildOptions ropts;
   ropts.store.mmap = true;
-  ropts.decode_ahead_sections = 2;
   auto reopened = SNodeRepr::Open(base, ropts);
   ASSERT_TRUE(reopened.ok());
   CheckScheme(reopened.value().get());
@@ -254,14 +250,12 @@ TEST(CursorEquivalenceTest, SNodePinnedViewsSurviveEviction) {
   RunPinnedViewsSurviveEviction(built.value().get(), g);
 }
 
-// The same pin/eviction churn with the store memory-mapped and
-// decode-ahead racing the readers: views captured from mmap-decoded
-// sections must stay valid while the cache cycles underneath them.
+// The same pin/eviction churn with the store memory-mapped: views captured
+// from mmap-decoded sections must stay valid while the cache cycles
+// underneath them.
 TEST(CursorEquivalenceTest, SNodePinnedViewsSurviveEvictionMmap) {
   WebGraph g = TestGraph();
-  SNodeBuildOptions bopts;
-  bopts.decode_ahead_sections = 2;
-  auto built = SNodeRepr::Build(g, TempPath("snpm"), bopts);
+  auto built = SNodeRepr::Build(g, TempPath("snpm"), {});
   ASSERT_TRUE(built.ok());
   ASSERT_TRUE(built.value()->MapStoreForRead().ok());
   RunPinnedViewsSurviveEviction(built.value().get(), g);

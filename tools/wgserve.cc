@@ -43,14 +43,6 @@
 //   --mmap            serve store reads through a read-only mmap of the
 //                     pack files (zero-copy decode + madvise readahead)
 //                     instead of buffered pread
-//   --warm-on-open    walk the store in layout order on open -- and on
-//                     every generation flip in --snapshot mode -- decoding
-//                     sections into the cache at a bounded rate, so early
-//                     requests skip the cold-read cliff
-//   --warm-rate B     warmer ceiling in encoded bytes/sec (default 64 MiB;
-//                     0 = unthrottled)
-//   --decode-ahead N  on a streaming cursor miss, background-decode the
-//                     next N sections in layout order (default 0 = off)
 //   --admin-port P    serve the live introspection plane on
 //                     127.0.0.1:P (0 = kernel-assigned; the bound port is
 //                     printed): /metrics, /metrics.json, /healthz,
@@ -111,7 +103,6 @@
 #include "server/query_service.h"
 #include "server/workload.h"
 #include "snode/snode_repr.h"
-#include "snode/warmer.h"
 #include "storage/file.h"
 #include "storage/integrity.h"
 #include "text/corpus.h"
@@ -130,8 +121,7 @@ int Usage() {
                "               [--workers W] [--queue C] [--requests R]\n"
                "               [--theta T] [--khop K] [--file PATH]\n"
                "               [--deadline-ms D] [--buffer BYTES]\n"
-               "               [--shards N] [--mmap] [--warm-on-open]\n"
-               "               [--warm-rate BYTES] [--decode-ahead N]\n"
+               "               [--shards N] [--mmap]\n"
                "               [--admin-port P] [--profile-hz H]\n"
                "               [--slow-us T] [--linger S]\n"
                "               [--health-file FILE] [--metrics-out FILE]\n"
@@ -264,15 +254,7 @@ int Main(int argc, char** argv) {
   if (const char* shards = FlagValue(argc, argv, "--shards")) {
     bopts.cache_shards = std::strtoul(shards, nullptr, 10);
   }
-  if (const char* ahead = FlagValue(argc, argv, "--decode-ahead")) {
-    bopts.decode_ahead_sections = std::atoi(ahead);
-  }
   const bool use_mmap = HasFlag(argc, argv, "--mmap");
-  const bool warm_on_open = HasFlag(argc, argv, "--warm-on-open");
-  WarmerOptions warm_opts;
-  if (const char* rate = FlagValue(argc, argv, "--warm-rate")) {
-    warm_opts.rate_bytes_per_sec = std::strtoll(rate, nullptr, 10);
-  }
 
   WebGraph graph;
   WebGraph transpose;
@@ -397,32 +379,6 @@ int Main(int argc, char** argv) {
   }
   if (const char* queue = FlagValue(argc, argv, "--queue")) {
     sopts.queue_capacity = std::strtoul(queue, nullptr, 10);
-  }
-
-  // One warmer follows whichever S-Node store is serving: started on
-  // open, restarted on every generation flip via the swap hook. The old
-  // walk is stopped; its shared_ptr keeps the old generation alive until
-  // the walk thread joins.
-  std::mutex warmer_mu;
-  std::shared_ptr<StoreWarmer> warmer;
-  auto start_warmer = [&](std::shared_ptr<SNodeRepr> repr) {
-    auto next = std::make_shared<StoreWarmer>(std::move(repr), warm_opts);
-    next->Start();
-    std::shared_ptr<StoreWarmer> old;
-    {
-      std::lock_guard<std::mutex> lock(warmer_mu);
-      old = warmer;
-      warmer = next;
-    }
-    if (old != nullptr) old->Stop();
-  };
-  if (warm_on_open) {
-    sopts.on_swap = [&](const std::shared_ptr<GraphRepresentation>& fwd) {
-      auto* sn = dynamic_cast<SNodeRepr*>(fwd.get());
-      if (sn == nullptr) return;
-      // Aliasing pointer: shares the generation's control block.
-      start_warmer(std::shared_ptr<SNodeRepr>(fwd, sn));
-    };
   }
 
   std::vector<server::Request> requests;
@@ -580,7 +536,6 @@ int Main(int argc, char** argv) {
       }
     });
   }
-  if (warm_on_open && snapshot == nullptr) start_warmer(forward);
 
   // The serving repr the introspection plane reports on: the live
   // generation in snapshot mode (aliasing pointer keeps it pinned for the
@@ -682,21 +637,6 @@ int Main(int argc, char** argv) {
       std::snprintf(buf, sizeof(buf), "workers: %zu\nqueue_capacity: %zu\n",
                     service.num_workers(), sopts.queue_capacity);
       body += buf;
-      {
-        std::lock_guard<std::mutex> lock(warmer_mu);
-        if (warmer != nullptr) {
-          StoreWarmer::Progress progress = warmer->progress();
-          std::snprintf(buf, sizeof(buf),
-                        "warmer: %s, %llu sections, %llu bytes%s\n",
-                        progress.finished ? "finished" : "walking",
-                        static_cast<unsigned long long>(progress.sections),
-                        static_cast<unsigned long long>(progress.bytes),
-                        progress.hit_high_water ? " (hit high water)" : "");
-          body += buf;
-        } else {
-          body += "warmer: off\n";
-        }
-      }
       obs::Profiler& profiler = obs::Profiler::Global();
       std::snprintf(buf, sizeof(buf), "profiler: %s, %d hz, %llu samples\n",
                     profiler.running() ? "on" : "off", profiler.hz(),
@@ -794,23 +734,6 @@ int Main(int argc, char** argv) {
     poller.join();
   }
   service.Shutdown();
-  {
-    std::shared_ptr<StoreWarmer> last;
-    {
-      std::lock_guard<std::mutex> lock(warmer_mu);
-      last = warmer;
-      warmer = nullptr;
-    }
-    if (last != nullptr) {
-      last->Stop();
-      StoreWarmer::Progress progress = last->progress();
-      std::printf("warmer: %llu sections, %llu bytes%s\n",
-                  static_cast<unsigned long long>(progress.sections),
-                  static_cast<unsigned long long>(progress.bytes),
-                  progress.hit_high_water ? " (stopped at cache high water)"
-                                          : "");
-    }
-  }
 
   std::printf("\noutcome:\n");
   for (int c = 0; c < 4; ++c) {
