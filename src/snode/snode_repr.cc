@@ -4,6 +4,7 @@
 #include <chrono>
 #include <functional>
 #include <map>
+#include <span>
 #include <unordered_map>
 
 #include "obs/metrics.h"
@@ -485,6 +486,67 @@ Status SNodeRepr::DecodeSectionBlob(uint32_t blob_id, uint32_t supernode,
   return Status::OK();
 }
 
+template <typename Decode>
+Status SNodeRepr::ReadSectionBlobs(uint32_t supernode, uint32_t first,
+                                   uint32_t last,
+                                   std::span<const uint32_t> ids,
+                                   Decode&& decode) {
+  if (ids.empty()) return Status::OK();
+  const bool mapped = store_->mapped();
+  if (mapped && first < last) {
+    // One madvise batches the section's page faults.
+    store_->AdviseBlobs(first, last, RandomAccessFile::Advice::kWillNeed);
+  }
+  // pread bytes: raw[i] holds blob raw_first + i.
+  std::vector<std::vector<uint8_t>> raw;
+  uint32_t raw_first = 0;
+  uint64_t loaded = 0;
+  uint64_t bytes = 0;
+  Status status;
+  for (uint32_t id : ids) {
+    // Mapped: zero-copy out of the mapping, no io_mutex (no seek arm to
+    // serialize; demand paging is concurrency-safe). The disk-model
+    // counters stay flat (mapped I/O is priced by wall-clock benches).
+    GraphStore::BlobSpan span;
+    if (mapped) status = store_->ReadBlobSpan(id, &span);
+    if (!mapped || status.code() == StatusCode::kUnavailable) {
+      // The verifying pread: an unmapped store reads all of [first, last]
+      // at once (one seek for the section); a blob whose file was
+      // quarantined out of the mapping is read alone.
+      if (mapped || raw.empty()) {
+        raw_first = mapped ? id : first;
+        std::lock_guard<std::mutex> lock(io_mutex_);
+        obs::Span read_span("store.read_range", "storage");
+        status = store_->ReadBlobRange(raw_first, mapped ? id : last, &raw);
+        if (status.ok()) {
+          ++stats_.disk_reads;
+          disk_tracker_.Absorb(store_->seek_ops(), store_->transferred_bytes(),
+                               &stats_);
+        }
+      }
+      if (status.ok()) {
+        const std::vector<uint8_t>& blob = raw[id - raw_first];
+        span.data = blob.data();
+        span.length = static_cast<uint32_t>(blob.size());
+      }
+    }
+    if (status.ok()) {
+      obs::Span decode_span("snode.decode", "cache");
+      status = decode(id, span.data, span.length);
+    }
+    if (!status.ok()) break;
+    ++loaded;
+    bytes += span.length;
+  }
+  // Every blob read from the store is a cache miss.
+  stats_.bytes_read += bytes;
+  stats_.graphs_loaded += loaded;
+  stats_.cache_misses += loaded;
+  cold_stats_.Bump(loaded, bytes);
+  if (!status.ok()) MaybeQuarantineSection(supernode, status);
+  return status;
+}
+
 Result<SNodeRepr::EntryPtr> SNodeRepr::LoadBlob(uint32_t blob_id,
                                                 uint32_t supernode,
                                                 uint32_t first_blob) {
@@ -499,68 +561,18 @@ Result<SNodeRepr::EntryPtr> SNodeRepr::LoadBlob(uint32_t blob_id,
   if (claim.kind == ShardedGraphCache::ClaimKind::kFailed) {
     return claim.status;
   }
-  ++stats_.cache_misses;
   obs::Span miss_span("cache.miss_load", "cache");
   miss_span.AddArg("blob", blob_id);
-
-  if (store_->mapped()) {
-    // Zero-copy path: decode straight out of the mapping. No io_mutex --
-    // there is no seek arm to serialize; the kernel demand-pages under
-    // concurrent readers just fine. The disk-model counters stay flat
-    // (mapped I/O is priced by wall-clock benches, not the 2001 model).
-    GraphStore::BlobSpan span;
-    Status read = store_->ReadBlobSpan(blob_id, &span);
-    if (read.ok()) {
-      stats_.bytes_read += span.length;
-      ++stats_.graphs_loaded;
-      cold_stats_.Bump(1, span.length);
-      ShardedGraphCache::Entry entry;
-      Status decoded = DecodeSectionBlob(blob_id, supernode, first_blob,
-                                         span.data, span.length, &entry);
-      if (!decoded.ok()) {
-        MaybeQuarantineSection(supernode, decoded);
-        cache_->Abort(blob_id, decoded);
-        return decoded;
-      }
-      return cache_->Publish(blob_id, std::move(entry));
-    }
-    if (read.code() != StatusCode::kUnavailable) {
-      MaybeQuarantineSection(supernode, read);
-      cache_->Abort(blob_id, read);
-      return read;
-    }
-    // Unavailable = the blob's file was quarantined out of the mapping;
-    // fall through to the pread path, which re-verifies the bytes.
-  }
-
-  std::vector<uint8_t> raw;
-  {
-    std::lock_guard<std::mutex> lock(io_mutex_);
-    obs::Span read_span("store.read_blob", "storage");
-    Status read = store_->ReadBlob(blob_id, &raw);
-    if (!read.ok()) {
-      MaybeQuarantineSection(supernode, read);
-      cache_->Abort(blob_id, read);
-      return read;
-    }
-    stats_.disk_reads += 1;
-    disk_tracker_.Absorb(store_->seek_ops(), store_->transferred_bytes(),
-                         &stats_);
-  }
-  stats_.bytes_read += raw.size();
-  ++stats_.graphs_loaded;
-  cold_stats_.Bump(1, raw.size());
   ShardedGraphCache::Entry entry;
-  Status decoded;
-  {
-    obs::Span decode_span("snode.decode", "cache");
-    decoded = DecodeSectionBlob(blob_id, supernode, first_blob, raw.data(),
-                                raw.size(), &entry);
-  }
-  if (!decoded.ok()) {
-    MaybeQuarantineSection(supernode, decoded);
-    cache_->Abort(blob_id, decoded);
-    return decoded;
+  Status read = ReadSectionBlobs(
+      supernode, blob_id, blob_id, std::span<const uint32_t>(&blob_id, 1),
+      [&](uint32_t id, const uint8_t* data, size_t size) {
+        return DecodeSectionBlob(id, supernode, first_blob, data, size,
+                                 &entry);
+      });
+  if (!read.ok()) {
+    cache_->Abort(blob_id, read);
+    return read;
   }
   return cache_->Publish(blob_id, std::move(entry));
 }
@@ -598,93 +610,21 @@ Status SNodeRepr::PrefetchSection(uint32_t supernode) {
   obs::Span prefetch_span("cache.prefetch_section", "cache");
   prefetch_span.AddArg("supernode", supernode);
   prefetch_span.AddArg("blobs", claimed.size());
-
-  if (store_->mapped()) {
-    // One madvise batches the section's page faults, then decode each
-    // claimed blob zero-copy out of the mapping. No io_mutex (no seek
-    // arm; demand paging is concurrency-safe).
-    store_->AdviseBlobs(first, last, RandomAccessFile::Advice::kWillNeed);
-    uint64_t loaded_bytes = 0;
-    for (size_t i = 0; i < claimed.size(); ++i) {
-      uint32_t id = claimed[i];
-      GraphStore::BlobSpan span;
-      size_t length = 0;
-      std::vector<uint8_t> fallback;
-      ShardedGraphCache::Entry entry;
-      Status read = store_->ReadBlobSpan(id, &span);
-      if (read.ok()) {
-        length = span.length;
-        read = DecodeSectionBlob(id, supernode, first, span.data, span.length,
-                                 &entry);
-      } else if (read.code() == StatusCode::kUnavailable) {
-        // Quarantined file: serve this blob via the verifying pread path.
-        {
-          std::lock_guard<std::mutex> lock(io_mutex_);
-          read = store_->ReadBlob(id, &fallback);
-          if (read.ok()) {
-            stats_.disk_reads += 1;
-            disk_tracker_.Absorb(store_->seek_ops(),
-                                 store_->transferred_bytes(), &stats_);
-          }
-        }
-        if (read.ok()) {
-          length = fallback.size();
-          read = DecodeSectionBlob(id, supernode, first, fallback.data(),
-                                   fallback.size(), &entry);
-        }
-      }
-      if (!read.ok()) {
-        MaybeQuarantineSection(supernode, read);
-        for (size_t j = i; j < claimed.size(); ++j) {
-          cache_->Abort(claimed[j], read);
-        }
-        cold_stats_.Bump(i, loaded_bytes);
-        return read;
-      }
-      stats_.bytes_read += length;
-      loaded_bytes += length;
-      ++stats_.graphs_loaded;
-      cache_->Publish(id, std::move(entry));
-    }
-    cold_stats_.Bump(claimed.size(), loaded_bytes);
-    return Status::OK();
+  size_t published = 0;
+  Status read = ReadSectionBlobs(
+      supernode, first, last, claimed,
+      [&](uint32_t id, const uint8_t* data, size_t size) {
+        ShardedGraphCache::Entry entry;
+        WG_RETURN_IF_ERROR(
+            DecodeSectionBlob(id, supernode, first, data, size, &entry));
+        cache_->Publish(id, std::move(entry));
+        ++published;
+        return Status::OK();
+      });
+  for (size_t i = published; i < claimed.size(); ++i) {
+    cache_->Abort(claimed[i], read);
   }
-
-  std::vector<std::vector<uint8_t>> blobs;
-  {
-    std::lock_guard<std::mutex> lock(io_mutex_);
-    obs::Span read_span("store.read_range", "storage");
-    Status read = store_->ReadBlobRange(first, last, &blobs);
-    if (!read.ok()) {
-      MaybeQuarantineSection(supernode, read);
-      for (uint32_t id : claimed) cache_->Abort(id, read);
-      return read;
-    }
-    stats_.disk_reads += 1;
-    disk_tracker_.Absorb(store_->seek_ops(), store_->transferred_bytes(),
-                         &stats_);
-  }
-  uint64_t loaded_bytes = 0;
-  for (size_t i = 0; i < claimed.size(); ++i) {
-    uint32_t id = claimed[i];
-    const std::vector<uint8_t>& raw = blobs[id - first];
-    stats_.bytes_read += raw.size();
-    loaded_bytes += raw.size();
-    ++stats_.graphs_loaded;
-    ShardedGraphCache::Entry entry;
-    Status decoded = DecodeSectionBlob(id, supernode, first, raw.data(),
-                                       raw.size(), &entry);
-    if (!decoded.ok()) {
-      MaybeQuarantineSection(supernode, decoded);
-      for (size_t j = i; j < claimed.size(); ++j) {
-        cache_->Abort(claimed[j], decoded);
-      }
-      return decoded;
-    }
-    cache_->Publish(id, std::move(entry));
-  }
-  cold_stats_.Bump(claimed.size(), loaded_bytes);
-  return Status::OK();
+  return read;
 }
 
 std::vector<SNodeRepr::LoadEvent> SNodeRepr::load_log() const {
@@ -773,22 +713,17 @@ Result<SNodeRepr::EntryPtr> SNodeRepr::AssembleSupernode(uint32_t supernode) {
 
   // Gather the section's decoded graphs. Blobs already decoded (by
   // a lone probe or an earlier section prefetch) are pinned out of the cache;
-  // the rest are read with one sequential section read and decoded into
+  // the rest are read with one section read and decoded into
   // locals that die with this call. Skipping the per-blob singleflight
   // machinery here matters: the assembled block is the only artifact worth
   // caching on the streaming path, and routing every blob through
   // BeginLoad/Publish costs more than the decode it would deduplicate.
-  auto fail = [&](const Status& s) -> Result<EntryPtr> {
-    MaybeQuarantineSection(supernode, s);
-    cache_->Abort(key, s);
-    return s;
-  };
   const uint32_t first_blob = supernodes_.intranode_blob[supernode];
   const uint32_t num_blobs = 1 + (e_end - e_begin);
   std::vector<EntryPtr> pins(num_blobs);
   const IntranodeGraph* ig_ptr = nullptr;
   std::vector<const SuperedgeGraph*> ses(e_end - e_begin, nullptr);
-  std::vector<uint32_t> missing;
+  std::vector<uint32_t> missing;  // store blob ids
   for (uint32_t b = 0; b < num_blobs; ++b) {
     EntryPtr cached = cache_->Lookup(first_blob + b);
     if (cached != nullptr) {
@@ -799,7 +734,7 @@ Result<SNodeRepr::EntryPtr> SNodeRepr::AssembleSupernode(uint32_t supernode) {
       }
       pins[b] = std::move(cached);
     } else {
-      missing.push_back(b);
+      missing.push_back(first_blob + b);
     }
   }
   // Locally decoded graphs land in per-thread scratch that is reused
@@ -809,82 +744,28 @@ Result<SNodeRepr::EntryPtr> SNodeRepr::AssembleSupernode(uint32_t supernode) {
   thread_local IntranodeGraph ig_scratch;
   thread_local std::vector<SuperedgeGraph> se_scratch;
   size_t se_missing = missing.size();
-  if (!missing.empty() && missing[0] == 0) --se_missing;
+  if (!missing.empty() && missing[0] == first_blob) --se_missing;
   if (se_scratch.size() < se_missing) se_scratch.resize(se_missing);
   size_t next_scratch = 0;
-  auto decode_local = [&](uint32_t b, const uint8_t* data,
-                          size_t size) -> Status {
-    if (b == 0) {
-      WG_RETURN_IF_ERROR(DecodeIntranode(data, size, &ig_scratch));
-      ig_ptr = &ig_scratch;
-    } else {
-      uint32_t e = e_begin + (b - 1);
-      SuperedgeGraph* se = &se_scratch[next_scratch++];
-      WG_RETURN_IF_ERROR(DecodeSuperedge(
-          data, size, supernodes_.pages_in(supernode),
-          supernodes_.pages_in(supernodes_.targets[e]), se));
-      ses[b - 1] = se;
-    }
-    return Status::OK();
-  };
-  if (!missing.empty()) {
-    if (store_->mapped()) {
-      store_->AdviseBlobs(first_blob, first_blob + num_blobs - 1,
-                          RandomAccessFile::Advice::kWillNeed);
-      uint64_t bytes = 0;
-      for (uint32_t b : missing) {
-        GraphStore::BlobSpan blob_span;
-        size_t length = 0;
-        Status read = store_->ReadBlobSpan(first_blob + b, &blob_span);
-        if (read.ok()) {
-          length = blob_span.length;
-          read = decode_local(b, blob_span.data, blob_span.length);
-        } else if (read.code() == StatusCode::kUnavailable) {
-          // Quarantined file: this blob via the verifying pread path.
-          std::vector<uint8_t> raw;
-          {
-            std::lock_guard<std::mutex> lock(io_mutex_);
-            read = store_->ReadBlob(first_blob + b, &raw);
-            if (read.ok()) {
-              stats_.disk_reads += 1;
-              disk_tracker_.Absorb(store_->seek_ops(),
-                                   store_->transferred_bytes(), &stats_);
-            }
-          }
-          if (read.ok()) {
-            length = raw.size();
-            read = decode_local(b, raw.data(), raw.size());
-          }
+  Status read = ReadSectionBlobs(
+      supernode, first_blob, first_blob + num_blobs - 1, missing,
+      [&](uint32_t id, const uint8_t* data, size_t size) -> Status {
+        if (id == first_blob) {
+          WG_RETURN_IF_ERROR(DecodeIntranode(data, size, &ig_scratch));
+          ig_ptr = &ig_scratch;
+        } else {
+          uint32_t e = e_begin + (id - first_blob - 1);
+          SuperedgeGraph* se = &se_scratch[next_scratch++];
+          WG_RETURN_IF_ERROR(DecodeSuperedge(
+              data, size, supernodes_.pages_in(supernode),
+              supernodes_.pages_in(supernodes_.targets[e]), se));
+          ses[e - e_begin] = se;
         }
-        if (!read.ok()) return fail(read);
-        bytes += length;
-      }
-      stats_.bytes_read += bytes;
-      stats_.graphs_loaded += missing.size();
-      cold_stats_.Bump(missing.size(), bytes);
-    } else {
-      std::vector<std::vector<uint8_t>> blobs;
-      {
-        std::lock_guard<std::mutex> lock(io_mutex_);
-        obs::Span read_span("store.read_range", "storage");
-        Status read = store_->ReadBlobRange(first_blob,
-                                            first_blob + num_blobs - 1, &blobs);
-        if (!read.ok()) return fail(read);
-        stats_.disk_reads += 1;
-        disk_tracker_.Absorb(store_->seek_ops(), store_->transferred_bytes(),
-                             &stats_);
-      }
-      uint64_t bytes = 0;
-      for (uint32_t b : missing) {
-        const std::vector<uint8_t>& raw = blobs[b];
-        Status decoded = decode_local(b, raw.data(), raw.size());
-        if (!decoded.ok()) return fail(decoded);
-        bytes += raw.size();
-      }
-      stats_.bytes_read += bytes;
-      stats_.graphs_loaded += missing.size();
-      cold_stats_.Bump(missing.size(), bytes);
-    }
+        return Status::OK();
+      });
+  if (!read.ok()) {
+    cache_->Abort(key, read);
+    return read;
   }
   const IntranodeGraph& ig = *ig_ptr;
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,9 +33,9 @@
 // PagesInDomain) is safe to call from many threads at once -- this is what
 // the server/QueryService worker pool relies on. The resident structures
 // are immutable; the decoded-graph cache is sharded and singleflighted
-// (snode/graph_cache.h); store I/O and the disk-model tracker are
-// serialized behind io_mutex_ (one spindle in the paper's disk model);
-// ReprStats counters are atomics.
+// (snode/graph_cache.h); pread store reads and the disk-model tracker are
+// serialized behind io_mutex_ (one spindle in the paper's disk model),
+// while mapped reads take no lock; ReprStats counters are atomics.
 
 namespace wg {
 
@@ -247,9 +248,10 @@ class SNodeRepr : public GraphRepresentation {
   uint32_t AssembledKey(uint32_t supernode) const;
 
   // Fully remapped, sorted external adjacency of every page in
-  // `supernode`, built through the ordinary read path (section prefetch +
-  // cache fetches, so disk/cache counters stay honest) and published into
-  // the cache under AssembledKey (singleflighted).
+  // `supernode`: section graphs already cached are pinned, the rest are
+  // read with one ReadSectionBlobs call and decoded into thread-local
+  // scratch (so disk/cache counters stay honest). The block is published
+  // into the cache under AssembledKey (singleflighted).
   Result<EntryPtr> AssembleSupernode(uint32_t supernode);
 
   // Appends the full external adjacency of page `p` (sorted) to *out: the
@@ -269,12 +271,26 @@ class SNodeRepr : public GraphRepresentation {
 
   // Loads a supernode's whole disk section (intranode graph + all its
   // outgoing superedge graphs, which the builder laid out contiguously)
-  // with one sequential read, decoding everything into the cache. This is
-  // the payoff of the paper's Section 3.3 linear ordering: a query that
-  // needs most of a section pays one seek for it. Under concurrency, only
-  // blobs this thread claimed are decoded here; blobs already in flight
-  // elsewhere are left to their owners.
+  // with one ReadSectionBlobs call, decoding everything into the cache.
+  // This is the payoff of the paper's Section 3.3 linear ordering: a
+  // query that needs most of a section pays one seek for it. Under
+  // concurrency, only blobs this thread claimed are decoded here; blobs
+  // already in flight elsewhere are left to their owners.
   Status PrefetchSection(uint32_t supernode);
+
+  // The one store read of the S-Node read path. Reads blobs `ids`
+  // (ascending, inside [first, last]) of `supernode`'s section and passes
+  // each blob's bytes to decode(id, data, size), in order, stopping at the
+  // first failure. A mapped store decodes zero-copy out of the mapping,
+  // with one madvise over [first, last] when that spans several blobs. An
+  // unmapped store reads all of [first, last] with one CRC-verifying
+  // pread (one seek for a section); a blob whose file was quarantined out
+  // of the mapping is pread alone. Owns io_mutex_, the disk-model tracker,
+  // the load counters (every blob read counts one cache miss) and section
+  // quarantine after a corrupt read or decode. Defined in the .cc.
+  template <typename Decode>
+  Status ReadSectionBlobs(uint32_t supernode, uint32_t first, uint32_t last,
+                          std::span<const uint32_t> ids, Decode&& decode);
 
   // Registers the cold-path counters and allocates the quarantine bitmap;
   // the tail of Build/FromParts.
@@ -318,8 +334,9 @@ class SNodeRepr : public GraphRepresentation {
   // Cold-path counters (wg_cold_* series).
   SNodeColdStats cold_stats_;
 
-  // Serializes physical store reads and the monotone disk-model tracker
+  // Serializes pread store reads and the monotone disk-model tracker
   // (the paper's testbed has one disk; concurrent readers queue on it).
+  // Taken only in ReadSectionBlobs.
   mutable std::mutex io_mutex_;
   DiskCounterTracker disk_tracker_;
 

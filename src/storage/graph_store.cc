@@ -1,7 +1,6 @@
 #include "storage/graph_store.h"
 
 #include <cstdio>
-#include <cstring>
 
 #include "storage/integrity.h"
 #include "storage/sigbus_guard.h"
@@ -83,26 +82,9 @@ Status GraphStore::ReadBlob(uint32_t id, std::vector<uint8_t>* out) const {
   const BlobRef& ref = directory_[id];
   out->resize(ref.length);
   if (ref.length == 0) return Status::OK();
-  if (mapped_ && !FileQuarantined(ref.file_index)) {
-    // Copy out of the mapping; still cheaper than a pread syscall, and
-    // callers that can tolerate a borrowed span use ReadBlobSpan instead.
-    Status verified = options_.verify_checksums
-                          ? EnsureMappedBlobVerified(id, ref)
-                          : Status::OK();
-    if (verified.ok()) {
-      const uint8_t* base = files_[ref.file_index]->mapped_data();
-      std::memcpy(out->data(), base + ref.offset, ref.length);
-      mapped_reads_.fetch_add(1, std::memory_order_relaxed);
-      mapped_bytes_.fetch_add(ref.length, std::memory_order_relaxed);
-      return Status::OK();
-    }
-    if (verified.code() != StatusCode::kUnavailable) return verified;
-    // Unavailable = the file was just quarantined; retry through pread.
-  }
   WG_RETURN_IF_ERROR(files_[ref.file_index]->Read(
       ref.offset, ref.length, reinterpret_cast<char*>(out->data())));
-  if (options_.verify_checksums && ref.crc != 0 &&
-      Crc32(out->data(), ref.length) != ref.crc) {
+  if (ref.crc != 0 && Crc32(out->data(), ref.length) != ref.crc) {
     ++IntegrityCounters::Get().checksum_failures;
     return Status::Corruption(BlobErrorDetail(
         "checksum mismatch", id, ref.file_index, ref.offset, ref.length));
@@ -227,9 +209,7 @@ Status GraphStore::ReadBlobSpan(uint32_t id, BlobSpan* span) const {
         "file quarantined to pread", id, ref.file_index, ref.offset,
         ref.length));
   }
-  if (options_.verify_checksums && ref.length > 0) {
-    WG_RETURN_IF_ERROR(EnsureMappedBlobVerified(id, ref));
-  }
+  WG_RETURN_IF_ERROR(EnsureMappedBlobVerified(id, ref));
   const RandomAccessFile& file = *files_[ref.file_index];
   span->data = ref.length == 0 ? nullptr : file.mapped_data() + ref.offset;
   span->length = ref.length;
@@ -307,30 +287,6 @@ Status GraphStore::ReadBlobRange(uint32_t first, uint32_t last,
     }
     uint64_t begin = directory_[id].offset;
     uint64_t end = directory_[run_end].offset + directory_[run_end].length;
-    if (mapped_ && !FileQuarantined(file_index)) {
-      Status verified;
-      if (options_.verify_checksums) {
-        for (uint32_t b = id; b <= run_end && verified.ok(); ++b) {
-          verified = EnsureMappedBlobVerified(b, directory_[b]);
-        }
-      }
-      if (verified.ok()) {
-        const uint8_t* base = files_[file_index]->mapped_data();
-        files_[file_index]->Advise(begin, end - begin,
-                                   RandomAccessFile::Advice::kWillNeed);
-        for (uint32_t b = id; b <= run_end; ++b) {
-          const BlobRef& ref = directory_[b];
-          (*out)[b - first].assign(base + ref.offset,
-                                   base + ref.offset + ref.length);
-        }
-        mapped_reads_.fetch_add(1, std::memory_order_relaxed);
-        mapped_bytes_.fetch_add(end - begin, std::memory_order_relaxed);
-        id = run_end + 1;
-        continue;
-      }
-      if (verified.code() != StatusCode::kUnavailable) return verified;
-      // File was quarantined mid-run: serve this run through pread.
-    }
     std::vector<char> buffer(end - begin);
     if (!buffer.empty()) {
       WG_RETURN_IF_ERROR(
@@ -341,7 +297,7 @@ Status GraphStore::ReadBlobRange(uint32_t first, uint32_t last,
       auto* dst = &(*out)[b - first];
       dst->assign(buffer.begin() + (ref.offset - begin),
                   buffer.begin() + (ref.offset - begin) + ref.length);
-      if (options_.verify_checksums && ref.crc != 0 && ref.length > 0 &&
+      if (ref.crc != 0 && ref.length > 0 &&
           Crc32(dst->data(), dst->size()) != ref.crc) {
         ++IntegrityCounters::Get().checksum_failures;
         return Status::Corruption(BlobErrorDetail(

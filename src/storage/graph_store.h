@@ -38,12 +38,6 @@ class GraphStore {
     // pread per blob. Ignored by Create (a store being appended cannot be
     // mapped); call MapForRead() once writing is done.
     bool mmap = false;
-    // Verify each blob's CRC32 on read. pread reads verify every time;
-    // mapped reads verify on the first touch of each blob and cache the
-    // verdict in a per-blob bitmap, so the warm zero-copy path stays one
-    // relaxed bit test. A crc of 0 in the directory means "unknown"
-    // (legacy entry) and is not checked.
-    bool verify_checksums = true;
   };
 
   // Physical home of one blob, exposed so the version subsystem's
@@ -91,12 +85,17 @@ class GraphStore {
   // Rejected on a store attached via OpenExisting.
   Result<uint32_t> Append(const std::vector<uint8_t>& blob);
 
-  // Reads blob `id` into *out.
+  // Every read verifies each blob's CRC32: pread reads on every call,
+  // mapped reads (ReadBlobSpan) on the first touch of each blob. A crc of
+  // 0 in the directory means "unknown" (legacy entry) and is not checked.
+
+  // Reads blob `id` into *out with one pread, mapped or not (a mapped
+  // store's readers use ReadBlobSpan and pread only quarantined files).
   Status ReadBlob(uint32_t id, std::vector<uint8_t>* out) const;
 
-  // Reads the consecutive blobs [first, last] -- appended back to back, so
-  // within one store file this is a single sequential read (one seek).
-  // out[i] receives blob first+i.
+  // Reads the consecutive blobs [first, last] with pread -- appended back
+  // to back, so within one store file this is a single sequential read
+  // (one seek). out[i] receives blob first+i.
   Status ReadBlobRange(uint32_t first, uint32_t last,
                        std::vector<std::vector<uint8_t>>* out) const;
 
@@ -110,7 +109,7 @@ class GraphStore {
   // True once MapForRead() ran; only then can the span reads below
   // succeed. Individual files may still be demoted to pread (see
   // FileQuarantined) -- spans into those fail with Unavailable and the
-  // caller falls back to ReadBlob.
+  // caller falls back to the pread reads above.
   bool mapped() const { return mapped_; }
 
   // Maps all files read-only. Valid on any store that is done being
@@ -128,10 +127,11 @@ class GraphStore {
   // also issues madvise(MADV_WILLNEED) for the 256 KiB starting at the
   // blob -- the paper's layout places a query's working set immediately
   // after, so the kernel fetches it while we decode.
-  // With verify_checksums the first touch of each blob CRC-checks the
-  // mapped bytes under a SIGBUS guard: a fault quarantines the file
-  // (returns Unavailable -- retry via ReadBlob), a mismatch returns
-  // Corruption. Fails unless mapped().
+  // The first touch of each blob CRC-checks the mapped bytes under a
+  // SIGBUS guard and caches the verdict in a per-blob bitmap, so the warm
+  // path stays one relaxed bit test: a fault quarantines the file
+  // (returns Unavailable -- retry via the pread reads), a mismatch
+  // returns Corruption. Fails unless mapped().
   Status ReadBlobSpan(uint32_t id, BlobSpan* span) const;
 
   // True when `file_index` is served by pread only: its mapping was

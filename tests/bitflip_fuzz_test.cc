@@ -13,10 +13,15 @@
 //  * Injected transient EIO on pread surfaces as a clean IOError from the
 //    cursor with no cache pins leaked, and the same read succeeds once
 //    the fault is lifted -- EIO must not quarantine.
+//  * A healthy pack file demoted out of the mapping keeps serving through
+//    the verifying pread: cursor sweeps (section assembly), lone probes
+//    (section prefetch) and pushdown reads (single-blob loads) all return
+//    the crawl's out-links, and no section is quarantined.
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -232,6 +237,90 @@ TEST(BitflipFuzzTest, InjectedEioIsTransientAndLeaksNoPins) {
   Status retry = cursor->Links(victim, &view);
   EXPECT_TRUE(retry.ok()) << retry.ToString();
   EXPECT_EQ(view.size(), graph.out_degree(victim));
+}
+
+TEST(BitflipFuzzTest, DemotedHealthyFileServesThroughPread) {
+  std::string base = TempBase("demoted");
+  WebGraph graph = SmallGraph();
+  {
+    SNodeBuildOptions bopts;
+    bopts.store.max_file_size = 512;  // several pack files
+    auto built = SNodeRepr::Build(graph, base, bopts);
+    ASSERT_TRUE(built.ok());
+    ASSERT_TRUE(built.value()->SaveMeta().ok());
+  }
+  SNodeBuildOptions ropts;
+  ropts.store.mmap = true;
+  auto opened = SNodeRepr::Open(base, ropts);
+  ASSERT_TRUE(opened.ok());
+  SNodeRepr& repr = *opened.value();
+  ASSERT_TRUE(repr.store().mapped());
+  ASSERT_GE(repr.store().num_files(), 3u)
+      << repr.store().total_bytes() << " store bytes";
+  // A middle file, so sections on both sides of it stay mapped and the
+  // sections that straddle its edges mix mapped and pread blobs.
+  repr.store().QuarantineFile(
+      static_cast<uint32_t>(repr.store().num_files() / 2));
+
+  auto expect_links = [&](PageId p, const LinkView& view) {
+    auto expected = graph.OutLinks(p);
+    ASSERT_EQ(view.size(), expected.size()) << "p=" << p;
+    EXPECT_TRUE(std::equal(view.begin(), view.end(), expected.begin()))
+        << "p=" << p;
+  };
+
+  // Natural-order sweep: every section is assembled.
+  uint64_t reads = repr.stats().disk_reads;
+  {
+    auto cursor = repr.NewCursor();
+    LinkView view;
+    for (size_t i = 0; i < repr.num_pages(); ++i) {
+      PageId p = repr.PageInNaturalOrder(i);
+      ASSERT_TRUE(cursor->Links(p, &view).ok()) << "p=" << p;
+      expect_links(p, view);
+    }
+  }
+  EXPECT_GT(repr.stats().disk_reads, reads) << "sweep never hit pread";
+
+  // Lone probes on an empty cache: each one prefetches its section.
+  reads = repr.stats().disk_reads;
+  for (PageId p = 0; p < graph.num_pages(); ++p) {
+    repr.ClearCache();
+    auto cursor = repr.NewCursor();
+    LinkView view;
+    ASSERT_TRUE(cursor->Links(p, &view).ok()) << "p=" << p;
+    expect_links(p, view);
+  }
+  EXPECT_GT(repr.stats().disk_reads, reads) << "probes never hit pread";
+
+  // Pushdown into a few targets: sections are not worth prefetching, so
+  // the wanted graphs load one blob at a time.
+  repr.ClearCache();
+  reads = repr.stats().disk_reads;
+  std::vector<PageId> sources(graph.num_pages());
+  for (PageId p = 0; p < graph.num_pages(); ++p) sources[p] = p;
+  std::vector<PageId> targets;
+  for (PageId t = 0; t < graph.num_pages(); t += 37) targets.push_back(t);
+  size_t visited = 0;
+  ASSERT_TRUE(repr.VisitLinksInto(
+                      sources, targets,
+                      [&](PageId p, const std::vector<PageId>& links) {
+                        std::vector<PageId> expected;
+                        for (PageId q : graph.OutLinks(p)) {
+                          if (std::binary_search(targets.begin(),
+                                                 targets.end(), q)) {
+                            expected.push_back(q);
+                          }
+                        }
+                        EXPECT_EQ(links, expected) << "p=" << p;
+                        ++visited;
+                      })
+                  .ok());
+  EXPECT_EQ(visited, sources.size());
+  EXPECT_GT(repr.stats().disk_reads, reads) << "pushdown never hit pread";
+
+  EXPECT_EQ(repr.QuarantinedSectionCount(), 0u);
+  EXPECT_EQ(repr.PinnedCacheEntries(), 0u);
 }
 
 }  // namespace

@@ -182,6 +182,11 @@ TEST(CursorEquivalenceTest, SNodeMmapReopenMatchesGetLinks) {
     EXPECT_TRUE(std::equal(view.begin(), view.end(), expected.begin()))
         << "p=" << p;
   }
+  // Every blob read from the store counts as one cache miss, whichever
+  // loader (single blob, section prefetch, assembly) read it.
+  const SNodeRepr& repr = *reopened.value();
+  EXPECT_EQ(repr.stats().cache_misses, repr.stats().graphs_loaded);
+  EXPECT_EQ(repr.stats().graphs_loaded, repr.cold_stats().blobs.value());
 }
 
 // Under a tiny cache budget the assembled blocks behind pinned views get
