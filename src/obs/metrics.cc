@@ -246,6 +246,13 @@ void MetricRegistry::Clear() {
 std::string MetricRegistry::PrometheusText() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
+  // A sample's " value\n" tail, appended piecewise (a chain of string
+  // temporaries here trips GCC 12's -Wrestrict at -O3).
+  auto append_value = [&out](double value) {
+    out += ' ';
+    out += NumberString(value);
+    out += '\n';
+  };
   for (const auto& [name, family] : families_) {
     if (!family.help.empty()) {
       out += "# HELP " + name + " ";
@@ -266,18 +273,13 @@ std::string MetricRegistry::PrometheusText() const {
         case Kind::kCounter:
           out += name;
           if (!key.empty()) out += "{" + key + "}";
-          out += " " +
-                 NumberString(static_cast<double>(series.counter->value.load(
-                     std::memory_order_relaxed))) +
-                 "\n";
+          append_value(static_cast<double>(
+              series.counter->value.load(std::memory_order_relaxed)));
           break;
         case Kind::kGauge:
           out += name;
           if (!key.empty()) out += "{" + key + "}";
-          out += " " +
-                 NumberString(
-                     series.gauge->value.load(std::memory_order_relaxed)) +
-                 "\n";
+          append_value(series.gauge->value.load(std::memory_order_relaxed));
           break;
         case Kind::kHistogram: {
           const internal::HistogramCell& h = *series.histogram;
@@ -300,11 +302,10 @@ std::string MetricRegistry::PrometheusText() const {
                  "\n";
           out += name + "_sum";
           if (!key.empty()) out += "{" + key + "}";
-          out += " " + NumberString(h.sum.load(std::memory_order_relaxed)) +
-                 "\n";
+          append_value(h.sum.load(std::memory_order_relaxed));
           out += name + "_count";
           if (!key.empty()) out += "{" + key + "}";
-          out += " " + NumberString(static_cast<double>(count)) + "\n";
+          append_value(static_cast<double>(count));
           break;
         }
       }

@@ -214,7 +214,6 @@ Status GraphStore::ReadBlobSpan(uint32_t id, BlobSpan* span) const {
   span->data = ref.length == 0 ? nullptr : file.mapped_data() + ref.offset;
   span->length = ref.length;
   mapped_reads_.fetch_add(1, std::memory_order_relaxed);
-  mapped_bytes_.fetch_add(ref.length, std::memory_order_relaxed);
   // Readahead window: the first read past the previous window's edge asks
   // the kernel for the next kReadaheadBytes in one go -- the layout
   // places this blob's section right here, so the faults the decode is

@@ -161,14 +161,11 @@ class GraphStore {
   // benchmarks; see RandomAccessFile::EvictFromPageCache).
   void EvictFromPageCache() const;
 
-  // Bytes served through ReadBlobSpan (mapped, zero-copy reads) -- kept
+  // Blobs served through ReadBlobSpan (mapped, zero-copy reads) -- kept
   // separate from the pread counters so exposition can tell demand-paged
   // I/O from syscall I/O.
   uint64_t mapped_reads() const {
     return mapped_reads_.load(std::memory_order_relaxed);
-  }
-  uint64_t mapped_bytes() const {
-    return mapped_bytes_.load(std::memory_order_relaxed);
   }
 
   size_t num_blobs() const { return directory_.size(); }
@@ -223,7 +220,6 @@ class GraphStore {
   bool read_only_ = false;
   bool mapped_ = false;
   mutable std::atomic<uint64_t> mapped_reads_{0};
-  mutable std::atomic<uint64_t> mapped_bytes_{0};
   // Last readahead window opened per file (one word per file, relaxed:
   // duplicate WILLNEEDs are harmless, missing one costs a demand fault).
   mutable std::vector<std::unique_ptr<std::atomic<uint64_t>>> readahead_edge_;

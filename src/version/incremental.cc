@@ -1,7 +1,9 @@
 #include "version/incremental.h"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -72,7 +74,8 @@ MaintainedPartition MaintainPartition(const SNodeRepr& base,
     }
   }
 
-  // Dirty marking.
+  // Dirty marking: the candidate sections. BuildIncrementalGeneration
+  // reads each candidate's links and re-encodes only those that changed.
   result.dirty.assign(result.partition.num_elements(), 0);
   // Rule 1: elements of locally dirty pages; rule 3: new elements.
   for (PageId p : overlay.DirtySources()) {
@@ -101,7 +104,7 @@ MaintainedPartition MaintainPartition(const SNodeRepr& base,
   }
 
   span.AddArg("elements", result.partition.num_elements());
-  span.AddArg("dirty", result.dirty_count());
+  span.AddArg("candidates", result.dirty_count());
   if (stats != nullptr) {
     stats->final_elements = result.partition.num_elements();
     stats->refine_seconds = SecondsSince(t0);
@@ -112,9 +115,8 @@ MaintainedPartition MaintainPartition(const SNodeRepr& base,
 Result<Manifest> BuildIncrementalGeneration(
     SNodeRepr& base, const Manifest& base_manifest,
     const DeltaOverlay& overlay, const MaintainedPartition& maintained,
-    uint64_t generation, uint64_t log_applied, uint64_t num_edges,
-    const std::string& dir, const SNodeBuildOptions& options,
-    RefinementStats* stats) {
+    uint64_t generation, uint64_t log_applied, const std::string& dir,
+    const SNodeBuildOptions& options, RefinementStats* stats) {
   auto t_total = std::chrono::steady_clock::now();
   obs::Span span("version.build_generation", "version");
   span.AddArg("generation", generation);
@@ -128,7 +130,6 @@ Result<Manifest> BuildIncrementalGeneration(
   // Numbering rule over the maintained partition. Old elements are a
   // verbatim prefix, so old pages keep their base-generation ids.
   SNodeResidentState state;
-  state.num_edges = num_edges;
   state.new_of_orig.resize(num_pages);
   state.orig_of_new.resize(num_pages);
   SupernodeGraph& sg = state.supernodes;
@@ -189,37 +190,74 @@ Result<Manifest> BuildIncrementalGeneration(
     return Status::OK();
   };
 
-  // Adjacency source for dirty sections: base cursor views merged with
-  // the overlay -- exactly the mutated graph's out-links, so the encoded
-  // bytes match a from-scratch rebuild over the same partition.
+  // Candidate sections' out-links, read once per compaction: the base
+  // cursor view of each page merged with the overlay -- exactly the
+  // mutated graph's out-links, so an encoded section matches a
+  // from-scratch rebuild over the same partition. Page k of the section
+  // being processed (local id k) owns
+  // section_links[link_start[k], link_start[k + 1]).
   std::unique_ptr<AdjacencyCursor> cursor = base.NewCursor();
   std::vector<PageId> merged;
+  std::vector<PageId> section_links;
+  std::vector<size_t> link_start;
+  // Exact edge count of the mutated graph: only candidate sections' pages
+  // can change (the dirty rules), so adding their merged - base
+  // out-degrees to the base count replaces a full adjacency scan.
+  // Unsigned wrap-around is harmless: the final sum is non-negative.
+  uint64_t num_edges = base.num_edges();
+  // Reads section s into the buffer; *changed reports whether any page's
+  // merged links differ from its base view (empty for an added page).
+  auto read_section = [&](uint32_t s, bool* changed) -> Status {
+    section_links.clear();
+    link_start.assign(1, 0);
+    *changed = false;
+    LinkView view;
+    for (PageId p : partition.elements[s]) {
+      std::span<const PageId> base_links;
+      if (p < overlay.base_pages()) {
+        WG_RETURN_IF_ERROR(cursor->Links(p, &view));
+        base_links = {view.data(), view.size()};
+      }
+      overlay.MergeLinks(p, base_links, &merged);
+      *changed = *changed || !std::equal(merged.begin(), merged.end(),
+                                         base_links.begin(),
+                                         base_links.end());
+      num_edges += merged.size();
+      num_edges -= base_links.size();
+      section_links.insert(section_links.end(), merged.begin(),
+                           merged.end());
+      link_start.push_back(section_links.size());
+    }
+    return Status::OK();
+  };
   SectionLinksFn links_of = [&](PageId p,
                                 std::vector<PageId>* out) -> Status {
-    if (p < overlay.base_pages() && !overlay.is_tombstoned(p)) {
-      LinkView view;
-      WG_RETURN_IF_ERROR(cursor->Links(p, &view));
-      overlay.MergeLinks(p, {view.data(), view.size()}, &merged);
-    } else {
-      overlay.MergeLinks(p, {}, &merged);
-    }
-    out->insert(out->end(), merged.begin(), merged.end());
+    size_t local = state.new_of_orig[p] - sg.page_start[owner[p]];
+    out->insert(out->end(), section_links.begin() + link_start[local],
+                section_links.begin() + link_start[local + 1]);
     return Status::OK();
   };
 
   // Layout in supernode order, dense blob ids, intranode first -- the
   // same linear order as a full build, whether a section is shared or
-  // re-encoded. Sections are processed serially: the dirty set is small
-  // by design, and serial layout keeps ids deterministic.
+  // re-encoded. Sections are processed serially: the candidate set is
+  // small by design, and serial layout keeps ids deterministic.
   double encode_seconds = 0;
   double layout_seconds = 0;
   sg.offsets.push_back(0);
   EncodedSection section;
   for (uint32_t s = 0; s < n_super; ++s) {
-    bool clean = s < maintained.num_old_elements && maintained.dirty[s] == 0;
-    if (clean) {
-      // Share the whole base section: same targets, same bytes, new
-      // dense ids. file_index values carry over because the new file
+    bool old = s < maintained.num_old_elements;
+    bool changed = false;
+    if (!old || maintained.dirty[s] != 0) {
+      auto t_read = std::chrono::steady_clock::now();
+      WG_RETURN_IF_ERROR(read_section(s, &changed));
+      encode_seconds += SecondsSince(t_read);
+    }
+    if (old && !changed) {
+      // Share the whole base section: same pages, same numbering, same
+      // links, hence the same bytes -- at the base's exact locations, with
+      // new dense ids. file_index values carry over because the new file
       // list starts with the base's.
       auto t_layout = std::chrono::steady_clock::now();
       uint32_t first = base_sg.intranode_blob[s];
@@ -242,6 +280,7 @@ Result<Manifest> BuildIncrementalGeneration(
     WG_RETURN_IF_ERROR(EncodeSupernodeSection(
         s, partition.elements[s], links_of, owner, state.new_of_orig,
         sg.page_start, options.intranode, options.superedge, &section));
+    ++manifest.sections_encoded;
     encode_seconds += SecondsSince(t_encode);
     auto t_layout = std::chrono::steady_clock::now();
     sg.intranode_blob.push_back(static_cast<uint32_t>(manifest.blobs.size()));
@@ -255,6 +294,7 @@ Result<Manifest> BuildIncrementalGeneration(
     sg.offsets.push_back(static_cast<uint32_t>(sg.targets.size()));
     layout_seconds += SecondsSince(t_layout);
   }
+  state.num_edges = num_edges;
 
   // Register this generation's pack files (relative names), fsynced
   // first: the manifest that names them publishes right after this.
@@ -278,6 +318,7 @@ Result<Manifest> BuildIncrementalGeneration(
 
   span.AddArg("blobs_shared", manifest.blobs_shared);
   span.AddArg("blobs_written", manifest.blobs_written);
+  span.AddArg("sections_encoded", manifest.sections_encoded);
   if (stats != nullptr) {
     stats->encode_seconds = encode_seconds;
     stats->layout_seconds = layout_seconds;

@@ -13,9 +13,9 @@
 
 // Incremental S-Node maintenance: given a base generation and a delta
 // overlay, produce the next generation's partition, mark the supernodes
-// whose disk sections must be re-encoded, and assemble the generation's
-// manifest -- re-encoding only dirty sections and sharing every other
-// blob byte-identically with the base generation.
+// whose disk sections may change, and assemble the generation's manifest
+// -- re-encoding only the sections whose links did change and sharing
+// every other blob byte-identically with the base generation.
 //
 // The partition is maintained *deterministically* (no clustered split, no
 // RNG), which is what gives the byte-identity contract its meaning:
@@ -30,9 +30,8 @@
 //     adjacency context, so it is deferred to the next full rebuild --
 //     the classic "incremental maintenance plus periodic rebuild" split.
 //
-// Dirty rules (conservative -- re-encoding a section whose bytes end up
-// unchanged is harmless, because the content-hash match makes it share
-// instead of write):
+// Dirty rules select *candidate* sections (conservative -- a candidate
+// whose links turn out unchanged costs one read of its links, no encode):
 //   1. the element of any page with out-link edits, any tombstoned page,
 //      and every new element;
 //   2. any element with a base superedge INTO a tombstoned page's element
@@ -43,13 +42,21 @@
 // local edits by rule 1; links lost into a tombstone by rule 2 (the base
 // superedge owner(p) -> owner(t) must exist for p to have linked t), or
 // by rule 1 when p and t share an element.
+//
+// The links check decides: BuildIncrementalGeneration reads each old
+// candidate's merged links once, and if every page's links equal its base
+// view the section is shared whole at the base's exact locations. That is
+// exact because an old element keeps its pages and numbering, so the same
+// links encode to the same bytes. The same pass yields the new
+// generation's edge count: base count plus (merged - base) out-degrees
+// over the candidate sections, the only pages that can differ.
 
 namespace wg::version {
 
 struct MaintainedPartition {
   Partition partition;
   size_t num_old_elements = 0;
-  std::vector<uint8_t> dirty;  // per element; 1 = re-encode its section
+  std::vector<uint8_t> dirty;  // per element; 1 = candidate section
   // Domain of each appended element (parallel to elements past
   // num_old_elements), for the new generation's domain index.
   std::vector<std::string> new_element_domains;
@@ -70,21 +77,23 @@ MaintainedPartition MaintainPartition(const SNodeRepr& base,
                                       RefinementStats* stats = nullptr);
 
 // Assembles generation `generation` from (base, overlay, maintained):
-// re-encodes dirty sections through EncodeSupernodeSection over the
-// overlay-merged adjacency, writes only blobs whose content hash is not
+// reads each candidate section's overlay-merged links once, shares
+// unchanged old sections whole, re-encodes the rest through
+// EncodeSupernodeSection, writes only blobs whose content hash is not
 // already present in the base generation into a fresh pack
 // (`<dir>/gen-%06u.NNN`), and shares everything else. Returns the new
 // manifest (not yet published -- the SnapshotManager writes and points
-// CURRENT at it). `num_edges` is the overlay's exact edge count;
-// `log_applied` the log position this generation folds in. Fills
-// stats->encode/layout/total_seconds, comparable per phase with a full
-// build's numbers.
+// CURRENT at it), whose resident state carries the exact edge count
+// computed from the candidate sections and whose sections_encoded counts
+// the sections re-encoded. `log_applied` is the log position this
+// generation folds in. Fills stats->encode/layout/total_seconds
+// (encode includes the candidate links reads), comparable per phase with
+// a full build's numbers.
 Result<Manifest> BuildIncrementalGeneration(
     SNodeRepr& base, const Manifest& base_manifest,
     const DeltaOverlay& overlay, const MaintainedPartition& maintained,
-    uint64_t generation, uint64_t log_applied, uint64_t num_edges,
-    const std::string& dir, const SNodeBuildOptions& options,
-    RefinementStats* stats = nullptr);
+    uint64_t generation, uint64_t log_applied, const std::string& dir,
+    const SNodeBuildOptions& options, RefinementStats* stats = nullptr);
 
 }  // namespace wg::version
 

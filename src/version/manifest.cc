@@ -32,6 +32,7 @@ Status Manifest::WriteTo(const std::string& path) const {
   PutVarint64(&payload, blobs_written);
   PutVarint64(&payload, resident.size());
   payload.append(resident);
+  PutVarint64(&payload, sections_encoded);
   return WriteFramedFile(path, kManifestMagic, payload);
 }
 
@@ -70,6 +71,10 @@ Result<Manifest> Manifest::ReadFrom(const std::string& path) {
   if (!cursor.ReadVarint64(&m.blobs_shared) ||
       !cursor.ReadVarint64(&m.blobs_written) ||
       !cursor.ReadString(&m.resident)) {
+    return Status::Corruption("manifest: bad trailer");
+  }
+  // Manifests written before sections_encoded existed end here.
+  if (!cursor.exhausted() && !cursor.ReadVarint64(&m.sections_encoded)) {
     return Status::Corruption("manifest: bad trailer");
   }
   return m;

@@ -51,6 +51,9 @@ struct Manifest {
   // sharing tests assert on).
   uint64_t blobs_shared = 0;
   uint64_t blobs_written = 0;
+  // Supernode sections encoded for this generation (every section for a
+  // full build; the candidates whose links changed for a compaction).
+  uint64_t sections_encoded = 0;
   // Serialized SNodeResidentState payload (snode/snode_repr.h).
   std::string resident;
 

@@ -110,7 +110,9 @@ class OverlayRepresentation : public GraphRepresentation {
   // Computes the exact edge count up front: a link-edit-only overlay costs
   // one base-cursor probe per dirty source; an overlay with tombstones
   // costs a full adjacency scan of the base (every page may have lost
-  // links), the price of keeping num_edges() exact for query planning.
+  // links), the price of keeping num_edges() exact for query planning on
+  // a serving overlay. Compaction does not pay it: it counts edges from
+  // the candidate sections it reads anyway (version/incremental.h).
   static Result<std::unique_ptr<OverlayRepresentation>> Make(
       GraphRepresentation* base, const DeltaOverlay* overlay);
 

@@ -45,6 +45,9 @@ SnapshotManager::SnapshotManager(std::string dir, SnapshotOptions options)
       "Blobs shared byte-identically with an earlier generation");
   blobs_written_total_.Bind(registry, "wg_version_blobs_written_total",
                             labels, "Blobs newly written by compactions");
+  sections_encoded_total_.Bind(
+      registry, "wg_version_sections_encoded_total", labels,
+      "Supernode sections re-encoded by compactions");
   compactions_total_.Bind(registry, "wg_version_compactions_total", labels,
                           "Completed compactions");
 }
@@ -77,6 +80,7 @@ Result<std::unique_ptr<SnapshotManager>> SnapshotManager::Create(
         {loc.file_index, loc.offset, loc.length, loc.crc, HashBlob(bytes)});
   }
   manifest.blobs_written = store.num_blobs();
+  manifest.sections_encoded = built->supernode_graph().num_supernodes();
 
   // Resident state through the public surface (the repr is about to be
   // dropped; every generation is loaded uniformly from its manifest).
@@ -245,14 +249,6 @@ Result<GenerationPtr> SnapshotManager::Compact() {
         return overlay.Apply(r);
       }));
 
-  // Exact edge count of the mutated graph, through the same overlay the
-  // incremental build encodes from.
-  WG_ASSIGN_OR_RETURN(
-      std::unique_ptr<OverlayRepresentation> merged,
-      OverlayRepresentation::Make(base->repr.get(), &overlay));
-  uint64_t num_edges = merged->num_edges();
-  merged.reset();
-
   RefinementStats stats;
   MaintainedPartition maintained = MaintainPartition(
       *base->repr, overlay, options_.build.refinement, &stats);
@@ -260,8 +256,7 @@ Result<GenerationPtr> SnapshotManager::Compact() {
       Manifest manifest,
       BuildIncrementalGeneration(*base->repr, base->manifest, overlay,
                                  maintained, base->manifest.generation + 1,
-                                 total, num_edges, dir_, options_.build,
-                                 &stats));
+                                 total, dir_, options_.build, &stats));
   WG_RETURN_IF_ERROR(Publish(manifest));
   WG_ASSIGN_OR_RETURN(GenerationPtr next,
                       LoadGeneration(ManifestName(manifest.generation)));
@@ -273,6 +268,7 @@ Result<GenerationPtr> SnapshotManager::Compact() {
   deltas_applied_total_ += total - applied;
   blobs_shared_total_ += manifest.blobs_shared;
   blobs_written_total_ += manifest.blobs_written;
+  sections_encoded_total_ += manifest.sections_encoded;
   ++compactions_total_;
   return next;
 }

@@ -28,9 +28,11 @@
 // (durable in the log before acknowledgement). Readers between
 // compactions see base-plus-deltas through BuildPendingOverlay() +
 // OverlayRepresentation. Compact() folds the unapplied log suffix into
-// generation N+1 incrementally (version/incremental.h), re-encoding only
-// dirty sections and sharing the rest byte-identically, then atomically
-// repoints CURRENT.
+// generation N+1 incrementally (version/incremental.h): it reads the links
+// of the candidate sections partition maintenance marks, re-encodes only
+// those whose links changed, shares the rest byte-identically, and takes
+// the new edge count from the same read -- no pass over the whole store.
+// It then atomically repoints CURRENT.
 //
 // Concurrency: current() hands out shared_ptr<const Generation>; a reader
 // (QueryService request) copies it once and keeps querying that immutable
@@ -103,8 +105,9 @@ class SnapshotManager {
   Status BuildPendingOverlay(DeltaOverlay* overlay) const;
 
   // Folds all pending deltas into a new generation and publishes it
-  // atomically. Returns the new (or unchanged, if nothing was pending)
-  // generation.
+  // atomically. Work follows the delta: sections whose links are
+  // unchanged are neither re-encoded nor rewritten. Returns the new (or
+  // unchanged, if nothing was pending) generation.
   Result<GenerationPtr> Compact();
 
   // Re-reads CURRENT and, if it names a different generation than the one
@@ -145,6 +148,7 @@ class SnapshotManager {
   obs::Counter deltas_applied_total_;
   obs::Counter blobs_shared_total_;
   obs::Counter blobs_written_total_;
+  obs::Counter sections_encoded_total_;
   obs::Counter compactions_total_;
 };
 

@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -200,6 +201,176 @@ TEST(VersionSnapshotTest, CleanSectionsAreSharedNotRewritten) {
     }
   }
   EXPECT_GT(clean_checked, 0u);
+}
+
+// Base supernode of page p.
+uint32_t OwnerOf(const SNodeRepr& repr, PageId p) {
+  return repr.supernode_graph().SupernodeOf(
+      static_cast<PageId>(repr.LocalityKey(p)));
+}
+
+std::vector<PageId> SortedLinks(const WebGraph& g, PageId p) {
+  auto links = g.OutLinks(p);
+  std::vector<PageId> sorted(links.begin(), links.end());
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
+struct CompactionCounts {
+  size_t candidates = 0;            // MaintainPartition's dirty marks
+  size_t changed = 0;               // sections whose adjacency changed
+  size_t unchanged_candidates = 0;  // candidates shared whole
+};
+
+// Compacts `batch` onto a fresh store over `base` and checks that the
+// compaction's work followed the links that actually changed: the new
+// generation is byte-identical to a rebuild, every candidate section with
+// unchanged links keeps the base's exact blob locations, exactly the
+// changed sections were re-encoded, and the edge count is exact.
+CompactionCounts ExpectCompactionFollowsChanges(
+    const WebGraph& base, const std::vector<DeltaRecord>& batch,
+    const std::string& name) {
+  CompactionCounts counts;
+  auto manager = SnapshotManager::Create(TempDirFor(name), base, {});
+  EXPECT_TRUE(manager.ok());
+  if (!manager.ok()) return counts;
+  GenerationPtr gen0 = manager.value()->current();
+  EXPECT_TRUE(manager.value()->AppendDeltas(batch).ok());
+  DeltaOverlay overlay(base.num_pages());
+  EXPECT_TRUE(manager.value()->BuildPendingOverlay(&overlay).ok());
+  auto mutated = ApplyOverlay(base, overlay);
+  EXPECT_TRUE(mutated.ok());
+  MaintainedPartition maintained =
+      MaintainPartition(*gen0->repr, overlay, RefinementOptions());
+  counts.candidates = maintained.dirty_count();
+
+  auto gen1 = manager.value()->Compact();
+  EXPECT_TRUE(gen1.ok());
+  if (!mutated.ok() || !gen1.ok()) return counts;
+  const Manifest& m0 = gen0->manifest;
+  const Manifest& m1 = gen1.value()->manifest;
+  const SNodeRepr& repr1 = *gen1.value()->repr;
+
+  auto rebuilt = SNodeRepr::BuildFromPartition(
+      mutated.value(), maintained.partition, TempDirFor(name + "_rb") + "/sn",
+      {});
+  EXPECT_TRUE(rebuilt.ok());
+  if (!rebuilt.ok()) return counts;
+  EXPECT_EQ(m1.blobs.size(), rebuilt.value()->store().num_blobs());
+  for (uint32_t id = 0; id < m1.blobs.size(); ++id) {
+    EXPECT_EQ(ReadBlobOrDie(repr1.store(), id),
+              ReadBlobOrDie(rebuilt.value()->store(), id))
+        << "blob " << id;
+  }
+  EXPECT_EQ(repr1.supernode_graph().offsets,
+            rebuilt.value()->supernode_graph().offsets);
+  EXPECT_EQ(repr1.supernode_graph().targets,
+            rebuilt.value()->supernode_graph().targets);
+
+  const SupernodeGraph& sg0 = gen0->repr->supernode_graph();
+  const SupernodeGraph& sg1 = repr1.supernode_graph();
+  for (uint32_t s = 0; s < maintained.partition.num_elements(); ++s) {
+    bool changed = s >= maintained.num_old_elements;
+    for (PageId p : maintained.partition.elements[s]) {
+      if (changed) break;
+      changed = SortedLinks(base, p) != SortedLinks(mutated.value(), p);
+    }
+    if (changed) {
+      EXPECT_NE(maintained.dirty[s], 0) << "changed section " << s;
+      ++counts.changed;
+      continue;
+    }
+    if (maintained.dirty[s] == 0) continue;
+    ++counts.unchanged_candidates;
+    uint32_t n_out = sg0.offsets[s + 1] - sg0.offsets[s];
+    EXPECT_EQ(sg1.offsets[s + 1] - sg1.offsets[s], n_out);
+    for (uint32_t k = 0; k <= n_out; ++k) {
+      const ManifestBlob& b0 = m0.blobs[sg0.intranode_blob[s] + k];
+      const ManifestBlob& b1 = m1.blobs[sg1.intranode_blob[s] + k];
+      EXPECT_EQ(b1.file_index, b0.file_index) << "section " << s;
+      EXPECT_EQ(b1.offset, b0.offset) << "section " << s;
+      EXPECT_EQ(b1.length, b0.length) << "section " << s;
+    }
+  }
+  EXPECT_EQ(m1.sections_encoded, counts.changed);
+  EXPECT_EQ(repr1.num_edges(), mutated.value().num_edges());
+  return counts;
+}
+
+// One tombstone whose in-links come from a few sections, in an element
+// that many sections have a superedge into: rule 2 marks all of those,
+// but only the few that linked the tombstone are re-encoded.
+TEST(VersionSnapshotTest, TombstoneReencodesOnlySectionsThatLinkedIt) {
+  WebGraph base = TestGraph();
+  std::string dir = TempDirFor("probe");
+  auto probe = SnapshotManager::Create(dir, base, {});
+  ASSERT_TRUE(probe.ok());
+  const SNodeRepr& repr = *probe.value()->current()->repr;
+  const SupernodeGraph& sg = repr.supernode_graph();
+
+  std::vector<size_t> into(sg.num_supernodes(), 0);
+  for (uint32_t s = 0; s < sg.num_supernodes(); ++s) {
+    auto [begin, end] = sg.OutEdges(s);
+    for (const uint32_t* j = begin; j != end; ++j) ++into[*j];
+  }
+  std::vector<std::unordered_set<uint32_t>> linking(base.num_pages());
+  for (PageId p = 0; p < base.num_pages(); ++p) {
+    for (PageId q : base.OutLinks(p)) linking[q].insert(OwnerOf(repr, p));
+  }
+  // Widest gap between rule 2's marks and the sections that truly change,
+  // among pages linked from at least two other sections.
+  PageId tomb = 0;
+  long best_gap = -1;
+  for (PageId t = 0; t < base.num_pages(); ++t) {
+    uint32_t e = OwnerOf(repr, t);
+    linking[t].insert(e);
+    if (linking[t].size() < 3) continue;
+    long gap = static_cast<long>(into[e]) -
+               static_cast<long>(linking[t].size());
+    if (gap > best_gap) {
+      best_gap = gap;
+      tomb = t;
+    }
+  }
+  ASSERT_GT(best_gap, 0);
+
+  CompactionCounts counts = ExpectCompactionFollowsChanges(
+      base, {DeltaRecord::RemovePage(tomb)}, "tomb");
+  EXPECT_EQ(counts.changed, linking[tomb].size());
+  EXPECT_GT(counts.unchanged_candidates, counts.changed);
+  EXPECT_EQ(counts.candidates, counts.changed + counts.unchanged_candidates);
+}
+
+// Link edits only: re-adding an existing link and removing an absent one
+// leave their sections candidates with unchanged links; the real edits
+// are re-encoded.
+TEST(VersionSnapshotTest, LinkEditsReencodeOnlySectionsThatChanged) {
+  WebGraph base = TestGraph();
+  PageId n = static_cast<PageId>(base.num_pages());
+  auto first_link_of = [&base](PageId p) -> PageId {
+    auto links = base.OutLinks(p);
+    return links.empty() ? 0 : links[0];
+  };
+  // Pages spread over the crawl, each with at least one out-link.
+  std::vector<PageId> pages;
+  for (PageId p = 1; p < n && pages.size() < 4; p += n / 5) {
+    while (base.OutLinks(p).empty()) ++p;
+    pages.push_back(p);
+  }
+  ASSERT_EQ(pages.size(), 4u);
+  PageId absent = 0;
+  while (absent == pages[1] || base.HasEdge(pages[1], absent)) ++absent;
+  std::vector<DeltaRecord> batch = {
+      DeltaRecord::AddLink(pages[0], first_link_of(pages[0])),  // no-op
+      DeltaRecord::RemoveLink(pages[1], absent),                // no-op
+      DeltaRecord::RemoveLink(pages[2], first_link_of(pages[2])),
+      DeltaRecord::AddLink(pages[3], n - 1),
+  };
+  CompactionCounts counts =
+      ExpectCompactionFollowsChanges(base, batch, "edits");
+  EXPECT_GE(counts.changed, 1u);
+  EXPECT_GE(counts.unchanged_candidates, 1u);
+  EXPECT_EQ(counts.candidates, counts.changed + counts.unchanged_candidates);
 }
 
 TEST(VersionSnapshotTest, ReopenServesPublishedGenerationAndKeepsPending) {

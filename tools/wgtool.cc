@@ -471,10 +471,12 @@ int CmdCompact(int argc, char** argv) {
                 static_cast<unsigned long long>(m.generation));
     return 0;
   }
-  std::printf("generation %llu: folded %llu deltas, shared %llu blobs, "
-              "wrote %llu, %zu pages, %llu links\n",
+  std::printf("generation %llu: folded %llu deltas, re-encoded %llu "
+              "sections, shared %llu blobs, wrote %llu, %zu pages, "
+              "%llu links\n",
               static_cast<unsigned long long>(m.generation),
               static_cast<unsigned long long>(pending),
+              static_cast<unsigned long long>(m.sections_encoded),
               static_cast<unsigned long long>(m.blobs_shared),
               static_cast<unsigned long long>(m.blobs_written),
               generation.value()->repr->num_pages(),
